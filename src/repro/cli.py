@@ -162,10 +162,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "end_ms": round(mcu.cycles_to_ms(result.end_time), 1),
             "total_misses": result.total_misses,
             "no_misses": result.no_misses,
-            "fold": {
-                "cycles_detected": result.fold_cycles,
-                "jobs_skipped": result.fold_jobs_skipped,
-            },
             "tasks": tasks,
         }
         print(json.dumps(payload, indent=2))
@@ -834,24 +830,17 @@ def _run_exp_ids(args: argparse.Namespace, ids: List[str]) -> None:
 
 
 def _print_runtime_counters() -> None:
-    """Steady-state folding and RTA warm-start totals for ``--profile``."""
+    """Engine and cache counter totals for ``--profile``."""
     from repro.core import segcache
 
     stats = segcache.stats()
-    fold = stats.get("sim.fold", {})
-    print(
-        "--- steady-state folding ---\n"
-        f"  runs={fold.get('runs', 0)} folded={fold.get('folds', 0)} "
-        f"cycles_skipped={fold.get('cycles_skipped', 0)} "
-        f"jobs_skipped={fold.get('jobs_skipped', 0)}"
-    )
     fp = stats.get("rta.fixpoint", {})
     lookups = fp.get("exact_hits", 0) + fp.get("misses", 0)
     hit_rate = fp.get("exact_hits", 0) / lookups if lookups else 0.0
     print(
         "--- rta fixpoint cache ---\n"
         f"  exact_hits={fp.get('exact_hits', 0)} misses={fp.get('misses', 0)} "
-        f"warm_starts={fp.get('warm_hits', 0)} hit_rate={hit_rate:.1%}"
+        f"hit_rate={hit_rate:.1%}"
     )
     from repro.sched import vecrta
 

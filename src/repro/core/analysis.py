@@ -42,7 +42,7 @@ admits a task set, no simulated phasing may miss a deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import isolated_latency
 from repro.sched.rta import CACHE_MISS, FixpointCache
@@ -122,7 +122,6 @@ def _fixpoint(
     interferers: Sequence[Tuple[int, int, int]],
     cap: int,
     cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
 ) -> Optional[int]:
     """Solve ``R = own + blocking + sum ceil((R + J)/T) * I``.
 
@@ -132,25 +131,13 @@ def _fixpoint(
 
     With a ``cache``, identical problems return the memoized solution
     (always sound: the result is a pure function of the arguments).
-    With ``warm_key`` too, the iteration is seeded from the committed
-    value staged under the same key by a *dominated* problem (pointwise
-    no larger demand); monotone iteration from any value between the
-    classic start and the least fixpoint converges to the same least
-    fixpoint, so the result is bit-identical to a cold start.
     """
     if cache is not None:
         exact_key = (own, blocking, tuple(interferers), cap)
         hit = cache.get_exact(exact_key)
         if hit is not CACHE_MISS:
-            if warm_key is not None and hit is not None:
-                cache.stage(warm_key, hit)
             return hit
-    start = own + blocking
-    response = start
-    if cache is not None and warm_key is not None:
-        seed = cache.warm_start(warm_key)
-        if seed is not None and seed > start:
-            response = seed
+    response = own + blocking
     result: Optional[int]
     while True:
         demand = own + blocking
@@ -165,8 +152,6 @@ def _fixpoint(
         response = demand
     if cache is not None:
         cache.put_exact(exact_key, result)
-        if warm_key is not None and result is not None:
-            cache.stage(warm_key, result)
     return result
 
 
@@ -176,20 +161,8 @@ def _single_resource_analysis(
     interference_of: Callable[[_View], int],
     blocking_of: Callable[[_View, List[_View]], int],
     cache: Optional[FixpointCache] = None,
-    warm_tag: Optional[str] = None,
 ) -> Dict[str, Optional[int]]:
-    """Generic highest-priority-first fixpoint pass with jitter chaining.
-
-    Warm-start soundness of the ``(warm_tag, index)`` keying: for each
-    priority slot, ``own``, ``blocking``, and interference demands are
-    monotone in a uniform WCET inflation, and the chained jitter
-    ``bound - own`` is monotone too because the least fixpoint grows at
-    least as fast as ``own`` (for a fixpoint ``p`` of the inflated
-    recurrence, descending the old recurrence from ``p`` lands on a
-    fixpoint at most ``p - delta_own``, so ``lfp_new >= lfp_old +
-    delta_own``).  By induction in priority order every slot's problem
-    dominates its predecessor across admitted inflation factors.
-    """
+    """Generic highest-priority-first fixpoint pass with jitter chaining."""
     wcrt: Dict[str, Optional[int]] = {}
     jitters: List[int] = []
     for index, view in enumerate(views):
@@ -205,7 +178,6 @@ def _single_resource_analysis(
             interferers=interferers,
             cap=view.task.deadline,
             cache=cache,
-            warm_key=(warm_tag, index) if warm_tag is not None else None,
         )
         wcrt[view.task.name] = bound
         if bound is None:
@@ -228,7 +200,6 @@ def _cpu_dma_blocking(view: _View, lower: List[_View]) -> int:
 def _analyze_oblivious(
     views: List[_View],
     cache: Optional[FixpointCache] = None,
-    warm: bool = False,
 ) -> Dict[str, Optional[int]]:
     return _single_resource_analysis(
         views,
@@ -236,14 +207,12 @@ def _analyze_oblivious(
         interference_of=lambda v: v.total_c + v.total_l,
         blocking_of=_cpu_dma_blocking,
         cache=cache,
-        warm_tag="obl" if warm else None,
     )
 
 
 def _analyze_overlap(
     views: List[_View],
     cache: Optional[FixpointCache] = None,
-    warm: bool = False,
 ) -> Dict[str, Optional[int]]:
     return _single_resource_analysis(
         views,
@@ -251,14 +220,12 @@ def _analyze_overlap(
         interference_of=lambda v: v.total_c + v.total_l,
         blocking_of=_cpu_dma_blocking,
         cache=cache,
-        warm_tag="ovl" if warm else None,
     )
 
 
 def _analyze_holistic(
     views: List[_View],
     cache: Optional[FixpointCache] = None,
-    warm: bool = False,
 ) -> Dict[str, Optional[int]]:
     """Two-stage decomposition: DMA stage then CPU stage.
 
@@ -283,18 +250,7 @@ def _analyze_holistic(
     Higher-priority demand bunching uses per-resource release jitter
     ``R_j - demand_j`` derived from the method's own final bounds, in
     priority order.
-
-    Warm starts are only used when **no task is gated**: a gated task's
-    bound grows with its pipeline latency, which under compute inflation
-    can grow slower than the ``total_c``/``total_c + total_l`` terms the
-    cpu/both jitter chains subtract — so those jitters are not provably
-    monotone across inflation factors and a committed seed could exceed
-    the new least fixpoint.  With every task buffered the stage bounds
-    satisfy ``rc_new >= rc_old + delta(total_c)`` and ``rl_new >=
-    rl_old``, making all three jitter chains monotone.
     """
-    if warm and any(v.task.buffers < v.n_seg for v in views):
-        warm = False
     wcrt: Dict[str, Optional[int]] = {}
     dma_jitters: List[int] = []
     cpu_jitters: List[int] = []
@@ -313,7 +269,6 @@ def _analyze_holistic(
                 ],
                 cap=view.task.deadline,
                 cache=cache,
-                warm_key=("hrl", index) if warm else None,
             )
             rc = None
             if rl is not None:
@@ -326,7 +281,6 @@ def _analyze_holistic(
                     ],
                     cap=view.task.deadline,
                     cache=cache,
-                    warm_key=("hrc", index) if warm else None,
                 )
             bound = None if rl is None or rc is None else rl + rc
             if bound is not None and bound > view.task.deadline:
@@ -341,7 +295,6 @@ def _analyze_holistic(
                 ],
                 cap=view.task.deadline,
                 cache=cache,
-                warm_key=None,
             )
         wcrt[view.task.name] = bound
         if bound is None:
@@ -358,7 +311,6 @@ def analyze(
     taskset: TaskSet,
     method: str = "rtmdm",
     cache: Optional[FixpointCache] = None,
-    warm: bool = False,
 ) -> AnalysisResult:
     """Run a schedulability analysis over ``taskset``.
 
@@ -370,10 +322,6 @@ def analyze(
             fixpoint problems (shared prefixes across Audsley trials,
             re-screens, sweep neighbors) skip iteration entirely.  The
             result is bit-identical with or without it.
-        warm: Additionally seed fixpoints from values the caller
-            committed at a dominated configuration (e.g. a lower WCET
-            inflation factor).  Only sound when the caller's sequence of
-            calls is monotone; see :func:`sensitivity_margin`.
 
     Returns:
         An :class:`AnalysisResult`; ``result.schedulable`` is the
@@ -385,18 +333,18 @@ def analyze(
     deadlines = {t.name: t.deadline for t in taskset}
     if method == "oblivious":
         return AnalysisResult(
-            "oblivious", _analyze_oblivious(views, cache, warm), deadlines
+            "oblivious", _analyze_oblivious(views, cache), deadlines
         )
     if method == "overlap":
         return AnalysisResult(
-            "overlap", _analyze_overlap(views, cache, warm), deadlines
+            "overlap", _analyze_overlap(views, cache), deadlines
         )
     if method == "holistic":
         return AnalysisResult(
-            "holistic", _analyze_holistic(views, cache, warm), deadlines
+            "holistic", _analyze_holistic(views, cache), deadlines
         )
-    overlap = _analyze_overlap(views, cache, warm)
-    holistic = _analyze_holistic(views, cache, warm)
+    overlap = _analyze_overlap(views, cache)
+    holistic = _analyze_holistic(views, cache)
     combined: Dict[str, Optional[int]] = {}
     for name in overlap:
         bounds = [b for b in (overlap[name], holistic[name]) if b is not None]
@@ -458,28 +406,20 @@ def sensitivity_margin(
         raise ValueError(f"upper must be >= 1, got {upper}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    # Incremental fixpoints across the binary search: converged response
-    # times are staged during each probe and committed only when the
-    # probe is admitted — every later probe inflates strictly more, so
-    # committed values are valid (dominated) warm seeds for it.  Probes
-    # on the rejected side discard their staged values: they come from a
-    # *larger* factor and would overshoot smaller probes' fixpoints.
+    # Probes share one exact fixpoint memo: a fixpoint problem repeated
+    # across probes skips iteration.
     cache = FixpointCache()
-    if not analyze(taskset, method, cache=cache, warm=True).schedulable:
+    if not analyze(taskset, method, cache=cache).schedulable:
         return None
-    cache.commit()
-    if analyze(inflate_compute(taskset, upper), method, cache=cache, warm=True).schedulable:
+    if analyze(inflate_compute(taskset, upper), method, cache=cache).schedulable:
         return upper
-    cache.discard()
     lo, hi = 1.0, upper
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
-        if analyze(inflate_compute(taskset, mid), method, cache=cache, warm=True).schedulable:
+        if analyze(inflate_compute(taskset, mid), method, cache=cache).schedulable:
             lo = mid
-            cache.commit()
         else:
             hi = mid
-            cache.discard()
     return lo
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
+import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
@@ -280,31 +281,44 @@ def configure(enabled: Optional[bool] = None, maxsize: Optional[int] = None) -> 
 
 
 def clear_all() -> None:
-    """Drop every cached entry and reset all counters."""
+    """Drop every cached entry and reset all counters.
+
+    Also empties the identity memos that pin planned objects — the
+    fingerprint memos here, the XIP column memo of
+    :mod:`repro.eval.systems` and the default SoA arena's segment
+    columns — so nothing planned before the call stays alive.
+    """
+    from repro.sched import simcore
+
     for cache in CACHES.values():
         cache.clear()
     _costs_memo.clear()
     _xip_memo.clear()
     _transform_memo.clear()
     _pipeline._latency_memo.clear()
+    for memo in (_model_fingerprint, _quant_fingerprint, _platform_fingerprint):
+        memo.clear()
+    systems = sys.modules.get("repro.eval.systems")
+    if systems is not None:  # never imported: nothing memoized
+        systems._XIP_COLS.clear()
+    simcore.default_arena().clear_columns()
 
 
 def snapshot() -> Dict[str, Tuple[int, ...]]:
     """Current counter values: ``(hits, misses)`` per plan cache, plus
-    the ``"sim.fold"`` (runs, folds, cycles_skipped, jobs_skipped),
-    ``"sim.soa"`` (runs, events, stand_downs), ``"rta.fixpoint"``
-    (exact_hits, misses, warm_hits) and ``"fleet.resilience"``
-    (degraded_admits, timeout_retries, recovered, crashes)
-    pseudo-entries — one protocol carries every
+    the ``"sim.soa"`` (runs, events, stand_downs), ``"rta.fixpoint"``
+    (exact_hits, misses, reserved, vec_batches, vec_rows,
+    vec_stand_downs; ``reserved`` is always zero), ``"planstore"`` and
+    ``"fleet.resilience"`` (degraded_admits, timeout_retries,
+    recovered, crashes) pseudo-entries — one protocol carries every
     performance counter through the parallel runner's worker deltas.
     """
     from repro.robust import recovery
-    from repro.sched import rta, simcore, simulator
+    from repro.sched import rta, simcore
 
     snap: Dict[str, Tuple[int, ...]] = {
         name: (cache.hits, cache.misses) for name, cache in CACHES.items()
     }
-    snap["sim.fold"] = simulator.fold_snapshot()
     snap["sim.soa"] = simcore.soa_snapshot()
     snap["rta.fixpoint"] = rta.fixpoint_snapshot()
     snap["planstore"] = planstore.counters_snapshot()
@@ -333,11 +347,7 @@ def absorb(delta: Mapping[str, Tuple[int, ...]]) -> None:
     :func:`delta_since` in the parent stay exact at any worker count.
     """
     for name, vals in delta.items():
-        if name == "sim.fold":
-            from repro.sched import simulator
-
-            simulator.fold_absorb(vals)
-        elif name == "sim.soa":
+        if name == "sim.soa":
             from repro.sched import simcore
 
             simcore.soa_absorb(vals)
@@ -384,7 +394,7 @@ def counters(names: Tuple[str, ...] = ("refine", "search")) -> Tuple[int, int]:
 def stats() -> Dict[str, Dict[str, int]]:
     """Full per-cache statistics (for BENCH_suite.json and --profile)."""
     from repro.robust import recovery
-    from repro.sched import rta, simcore, simulator
+    from repro.sched import rta, simcore
 
     out = {
         name: {
@@ -395,7 +405,6 @@ def stats() -> Dict[str, Dict[str, int]]:
         }
         for name, cache in CACHES.items()
     }
-    out["sim.fold"] = simulator.fold_counters()
     out["sim.soa"] = simcore.soa_counters()
     out["rta.fixpoint"] = rta.fixpoint_counters()
     out["planstore"] = planstore.counters_dict()
@@ -477,6 +486,10 @@ class _IdentityMemo:
     def __init__(self, compute: "Callable[[Any], Any]") -> None:
         self._compute = compute
         self._data: "OrderedDict[int, Tuple[Any, Any]]" = OrderedDict()
+
+    def clear(self) -> None:
+        with _fp_lock:
+            self._data.clear()
 
     def __call__(self, obj: Any) -> Any:
         key = id(obj)

@@ -10,7 +10,6 @@ fast; pass ``scale=4`` or more for paper-quality curves).
 from __future__ import annotations
 
 import inspect
-import math
 import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,16 +36,11 @@ from repro.eval.metrics import (
 )
 from repro.eval.parallel import run_units, simulate_batch, stable_seed
 from repro.eval.reporting import ExperimentResult
-from repro.eval.systems import SYSTEMS, admit, admit_batch, derive_taskset
+from repro.eval.systems import SYSTEMS, admit_batch, derive_taskset
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import PLATFORMS, get_platform
 from repro.sched.policies import CpuPolicy
-from repro.sched.simulator import (
-    SimConfig,
-    fold_delta_since,
-    fold_snapshot,
-    simulate,
-)
+from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet
 from repro.workload.scenarios import get_scenario
 from repro.workload.taskset import generate_case
@@ -1874,150 +1868,6 @@ EXPERIMENTS["EXP-R3"] = exp_r3_crash_recovery
 
 
 # ----------------------------------------------------------------------
-# EXP-F16: steady-state folding on harmonic long-horizon sweeps
-# ----------------------------------------------------------------------
-
-
-def _harmonize(taskset):
-    """Quantize periods up to power-of-two multiples of the fastest.
-
-    Random sweep draws have near-co-prime periods whose LCM explodes,
-    so their simulations never see a repeated hyperperiod.  Rounding
-    every period *up* to ``base * 2^k`` keeps deadlines constrained
-    (periods only grow), caps the hyperperiod at ``base * 2^max_k``,
-    and models the rate-harmonic configurations MCU deployments
-    typically choose — the regime where steady-state folding applies.
-    """
-    from dataclasses import replace as _replace
-
-    base = min(t.period for t in taskset)
-    tasks = []
-    for t in taskset:
-        exponent = max(0, math.ceil(math.log2(t.period / base)))
-        tasks.append(_replace(t, period=base << exponent))
-    return TaskSet.of(tasks)
-
-
-def _f16_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
-    """One ``(utilization, set index)`` steady-state unit for EXP-F16.
-
-    Like :func:`_f7_unit` but on the harmonized task set over a horizon
-    of many hyperperiods: the deterministic configs fold their tail
-    cycles arithmetically, and the per-unit fold counters ride back for
-    the experiment's meta block.
-    """
-    from repro.robust.overload import OverrunPolicy
-
-    seed, platform, util, index, systems, hyperperiods = unit
-    before = segcache.snapshot()
-    rng = random.Random(_stable_seed(seed, "f16", util, index))
-    case = generate_case(platform, util, rng)
-    if not case.feasible:
-        return None, segcache.delta_since(before)
-    totals: Dict[str, float] = {}
-    fold_before = fold_snapshot()
-    cases = []
-    for system in systems:
-        taskset, _method = derive_taskset(system, case)
-        harmonic = _harmonize(taskset)
-        h = max(t.period for t in harmonic)  # power-of-two multiples: LCM = max
-        cases.append((harmonic, SimConfig(
-            policy=CpuPolicy.FP_NP,
-            horizon=hyperperiods * h,
-            # Steady state requires bounded state: under CONTINUE an
-            # overloaded baseline's backlog grows every hyperperiod and
-            # no cycle ever forms.  Aborting at the deadline (the abort
-            # still counts as a miss) keeps the state space finite, so
-            # every deterministic run reaches a repeating cycle.
-            overrun=OverrunPolicy.ABORT_AT_DEADLINE,
-        )))
-    for system, result in zip(systems, simulate_batch(cases)):
-        totals[system] = miss_ratio(result)
-    payload = {"totals": totals, "fold": fold_delta_since(fold_before)}
-    return payload, segcache.delta_since(before)
-
-
-def exp_f16_steady_state(
-    platform_key: str = "f746-qspi",
-    utils: Sequence[float] = (0.3, 0.5, 0.7, 0.9),
-    n_sets: int = 4,
-    hyperperiods: int = 48,
-    seed: int = 2031,
-    scale: float = 1.0,
-    jobs: Optional[int] = None,
-    **_,
-) -> ExperimentResult:
-    """Long-horizon miss ratio on harmonic period sets (fixed ``n_sets``).
-
-    The steady-state companion to EXP-F7: the same generator draws are
-    period-harmonized so the hyperperiod is tractable, then each system
-    is simulated over ``hyperperiods`` hyperperiods.  Deterministic
-    configs detect their state cycle after a few hyperperiods and fold
-    the remaining horizon arithmetically — rows are bit-identical with
-    folding disabled (``REPRO_SIM_FOLD=0``), just much slower.  Fold
-    counters are reported in ``meta`` (excluded from determinism
-    comparisons, since the unfolded path legitimately reports zero).
-    """
-    platform = get_platform(platform_key)
-    n = max(2, int(n_sets * scale))
-    systems = ("rtmdm", "single-buffer", "sequential")
-    units = [
-        (seed, platform, util, index, systems, hyperperiods)
-        for util in utils
-        for index in range(n)
-    ]
-    results = run_units(
-        _f16_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
-    rows = []
-    deltas: List[Dict] = []
-    folds = cycles_skipped = jobs_skipped = 0
-    it = iter(results)
-    for util in utils:
-        totals: Dict[str, List[float]] = {s: [] for s in systems}
-        for _ in range(n):
-            payload, delta = next(it)
-            deltas.append(delta)
-            if payload is None:
-                continue
-            for system in systems:
-                totals[system].append(payload["totals"][system])
-            _runs, f, c, j = payload["fold"]
-            folds += f
-            cycles_skipped += c
-            jobs_skipped += j
-        row = [util]
-        for system in systems:
-            values = totals[system]
-            row.append(round(sum(values) / len(values), 4) if values else None)
-        rows.append(tuple(row))
-    return ExperimentResult(
-        exp_id="EXP-F16",
-        title=(
-            f"Steady-state miss ratio on harmonic sets "
-            f"({n} sets x {hyperperiods} hyperperiods)"
-        ),
-        columns=("util", *systems),
-        rows=tuple(rows),
-        notes=_with_cache_note(
-            "harmonized periods; deterministic runs fold repeated "
-            "hyperperiod cycles (REPRO_SIM_FOLD=0 disables; rows identical)",
-            deltas,
-        ),
-        meta={
-            "fold": {
-                "folds": folds,
-                "cycles_skipped": cycles_skipped,
-                "jobs_skipped": jobs_skipped,
-            }
-        },
-    )
-
-
-EXPERIMENTS["EXP-F16"] = exp_f16_steady_state
-
-
-# ----------------------------------------------------------------------
 # Mass-schedulability throughput (EXP-F17)
 # ----------------------------------------------------------------------
 
@@ -2163,8 +2013,7 @@ def _f18_tasksets(n_sets: int, tasks_per_set: int, seed: int) -> List:
     """Synthesized harmonic task sets for the simulator throughput benchmark.
 
     Periods are power-of-two multiples of a per-set base, so the
-    hyperperiod equals the longest period and steady-state folding has
-    cycles to detect; per-task compute budgets are drawn from the
+    hyperperiod equals the longest period; per-task compute budgets are drawn from the
     period (total utilization centred near 0.85) so the population
     mixes idle tails, contention, and overload.  A quarter of the
     tasks are XIP-style (all loads zero) to exercise the SoA engine's
@@ -2218,18 +2067,16 @@ def exp_f18_sim_throughput(
     scale: float = 1.0,
     **_,
 ) -> ExperimentResult:
-    """Simulator throughput: scalar vs SoA engine vs SoA + folding.
+    """Simulator throughput: scalar event loop vs SoA engine.
 
     Simulates ``n_sets`` synthesized harmonic task sets over
-    ``hyperperiods`` hyperperiods three ways — the scalar event loop
-    (``REPRO_VEC_SIM=0``, folding off), the arena-backed SoA core
-    (folding off), and the SoA core composed with steady-state folding
-    — and reports scalar-equivalent heap events processed per second
-    for each mode.  The event total is measured once by the no-fold
-    SoA pass (its ``sim_soa_events`` counter counts exactly the pops
-    the scalar loop would make, fused or not) and serves as the fixed
-    work measure for every mode, so the folded mode's throughput
-    reflects the cycles it *represents*, not the ones it stepped.
+    ``hyperperiods`` hyperperiods two ways — the scalar event loop
+    (``REPRO_VEC_SIM=0``) and the arena-backed SoA core — and reports
+    scalar-equivalent heap events processed per second for each mode.
+    The event total is measured by the SoA pass (its
+    ``sim_soa_events`` counter counts exactly the pops the scalar loop
+    would make, fused or not) and serves as the fixed work measure for
+    both modes.
 
     Rows are deterministic (miss totals, bit-identity against the
     scalar oracle, engine engagement); wall-clock throughputs live in
@@ -2251,70 +2098,51 @@ def exp_f18_sim_throughput(
         cases.append((taskset, SimConfig(
             policy=CpuPolicy.FP_NP,
             horizon=hyperperiods * h,
-            # Bounded state under overload (the abort still counts as a
-            # miss), so deterministic runs reach a repeating cycle and
-            # the fold mode has something to fold.
+            # Bounded backlog under overload (the abort still counts
+            # as a miss).
             overrun=OverrunPolicy.ABORT_AT_DEADLINE,
         )))
 
-    modes = (("scalar", "0", "0"), ("soa", "1", "0"), ("soa+fold", "1", "1"))
-    saved = {k: os.environ.get(k) for k in ("REPRO_VEC_SIM", "REPRO_SIM_FOLD")}
-    runs: Dict[str, Tuple[List, float, Tuple[int, int, int], Tuple]] = {}
+    modes = (("scalar", "0"), ("soa", "1"))
+    saved = os.environ.get("REPRO_VEC_SIM")
+    runs: Dict[str, Tuple[List, float, Tuple[int, int, int]]] = {}
     try:
-        for label, vec, fold in modes:
+        for label, vec in modes:
             os.environ["REPRO_VEC_SIM"] = vec
-            os.environ["REPRO_SIM_FOLD"] = fold
             soa_before = simcore.soa_snapshot()
-            fold_before = fold_snapshot()
             start = time.perf_counter()
             results = simulate_batch(cases)
             elapsed = time.perf_counter() - start
-            runs[label] = (
-                results, elapsed,
-                simcore.soa_delta_since(soa_before),
-                fold_delta_since(fold_before),
-            )
+            runs[label] = (results, elapsed, simcore.soa_delta_since(soa_before))
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_VEC_SIM", None)
+        else:
+            os.environ["REPRO_VEC_SIM"] = saved
 
     def row_dicts(results: List) -> List[Dict]:
-        # fold_cycles / fold_jobs_skipped describe *how* a result was
-        # obtained, not what it is — drop them before comparing modes.
-        out = []
-        for res in results:
-            d = asdict(res)
-            d.pop("fold_cycles", None)
-            d.pop("fold_jobs_skipped", None)
-            out.append(d)
-        return out
+        return [asdict(res) for res in results]
 
     oracle = row_dicts(runs["scalar"][0])
-    events_total = runs["soa"][2][1]  # sim_soa_events of the no-fold pass
+    events_total = runs["soa"][2][1]  # sim_soa_events of the SoA pass
     rows = []
     meta: Dict = {
         "tasks_per_set": tasks_per_set,
         "hyperperiods": hyperperiods,
         "events_total": events_total,
     }
-    for label, _vec, _fold in modes:
-        results, elapsed, soa_delta, fold_delta = runs[label]
+    for label, _vec in modes:
+        results, elapsed, soa_delta = runs[label]
         identical = int(row_dicts(results) == oracle)
         assert identical, f"EXP-F18: mode {label!r} diverged from scalar rows"
         rows.append((
             label, n, sum(res.total_misses for res in results),
             identical, soa_delta[0],
         ))
-        key = label.replace("+", "_")
-        meta[f"{key}_s"] = round(elapsed, 6)
-        meta[f"{key}_events_per_s"] = (
+        meta[f"{label}_s"] = round(elapsed, 6)
+        meta[f"{label}_events_per_s"] = (
             round(events_total / elapsed, 1) if elapsed else None
         )
-        if fold_delta[2]:
-            meta[f"{key}_fold_cycles_skipped"] = fold_delta[2]
     return ExperimentResult(
         exp_id="EXP-F18",
         title=f"Simulator throughput ({n} sets x {tasks_per_set} tasks)",

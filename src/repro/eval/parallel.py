@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.analysis import AnalysisResult, analyze
 from repro.sched.rta import FixpointCache
-from repro.sched.simulator import SharedSetup, SimConfig, SimResult, simulate
+from repro.sched.simulator import SimConfig, SimResult, simulate
 from repro.sched.task import TaskSet
 
 __all__ = [
@@ -78,19 +78,12 @@ def simulate_batch(
 ) -> List[SimResult]:
     """Simulate ``cases`` in order, amortizing per-run setup.
 
-    A work unit's simulations (the phasings of one drawn set, the
-    systems derived from one case, the recovery ladders of one fault
-    sweep point) almost always share their period structure; the period
-    maximum and the hyperperiod LCM that seed steady-state folding are
-    then computed once per distinct structure (keyed on the period
-    tuple) instead of once per run.  Every :class:`SimResult` is
-    bit-identical to a scalar ``simulate(taskset, config)`` call — the
-    shared setup carries only input-derived values.
-
     When the SoA engine is active, one preallocated
     :class:`~repro.sched.simcore.Arena` serves the whole batch: the
     response buffer and segment columns warm up on the first run of
-    each structure and every later run allocates nothing.
+    each structure and every later run allocates nothing.  Every
+    :class:`SimResult` is bit-identical to a scalar
+    ``simulate(taskset, config)`` call.
     """
     arena = None
     try:
@@ -100,15 +93,7 @@ def simulate_batch(
             arena = simcore.Arena()
     except ImportError:  # pragma: no cover - simcore ships with the package
         pass
-    setups: dict = {}
-    results: List[SimResult] = []
-    for taskset, config in cases:
-        key = tuple(t.period for t in taskset)
-        setup = setups.get(key)
-        if setup is None:
-            setup = setups[key] = SharedSetup(taskset)
-        results.append(simulate(taskset, config, setup, arena))
-    return results
+    return [simulate(taskset, config, arena) for taskset, config in cases]
 
 
 def analyze_batch(
@@ -120,9 +105,7 @@ def analyze_batch(
     Sweep neighbors and method variants over the same set repeat most of
     their response-time fixpoint problems verbatim; a batch-wide
     :class:`~repro.sched.rta.FixpointCache` returns those bounds without
-    iterating.  Results are bit-identical to scalar ``analyze`` calls
-    (exact-key memoization only — no warm starts, which need a caller
-    guaranteeing monotone call order).
+    iterating.  Results are bit-identical to scalar ``analyze`` calls.
 
     When the vectorized engine is available (numpy importable and
     ``REPRO_VEC_RTA`` unset/1), the whole batch is packed into one

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.sched.simulator import _FOLD_OFF, SimConfig, Simulator, SimResult
+from repro.sched.simulator import SimConfig, Simulator, SimResult
 from repro.sched.task import PeriodicTask, TaskSet
 
 
@@ -34,12 +34,6 @@ class DynamicSimulator(Simulator):
             taskset.by_name(name)  # raises KeyError on unknown names
             if stop < 0:
                 raise ValueError(f"stop cycle for {name!r} must be >= 0, got {stop}")
-        if self._stops:
-            # Stop cycles make release behavior depend on absolute time,
-            # which breaks the translation invariance steady-state
-            # folding relies on.
-            self._fold_eligible = False
-            self._fold_boundary = _FOLD_OFF
 
     def _release(
         self, time: int, task: PeriodicTask, task_pos: int, index: int

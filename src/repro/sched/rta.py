@@ -138,7 +138,7 @@ def try_hyperperiod(
 
 
 # ----------------------------------------------------------------------
-# Incremental fixpoint evaluation
+# Fixpoint memoization
 # ----------------------------------------------------------------------
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None``
@@ -146,21 +146,24 @@ def try_hyperperiod(
 CACHE_MISS = object()
 
 # Process-wide fixpoint counters (the per-instance counters roll up here
-# so sweeps can report an aggregate warm-start hit rate; parallel runs
-# ship worker deltas back through the plan-cache counter protocol).  The
+# so sweeps can report an aggregate memo hit rate; parallel runs ship
+# worker deltas back through the plan-cache counter protocol).  The
 # ``vec_*`` entries come from :mod:`repro.sched.vecrta`: batched array
 # solves (``vec_batches``), fixpoint rows solved inside them
 # (``vec_rows``), and cases where the vector engine handed a problem
 # back to the scalar oracle (``vec_stand_downs``).
 _FIXPOINT_KEYS = (
-    "exact_hits", "misses", "warm_hits",
+    "exact_hits", "misses",
+    # Always zero: keeps the snapshot six wide for readers that index
+    # the vec_* counters by position (driftbench/workloads.py).
+    "reserved",
     "vec_batches", "vec_rows", "vec_stand_downs",
 )
 _fixpoint_counters = {key: 0 for key in _FIXPOINT_KEYS}
 
 
 def fixpoint_counters() -> Dict[str, int]:
-    """Process-wide incremental-RTA counters."""
+    """Process-wide RTA fixpoint counters."""
     return dict(_fixpoint_counters)
 
 
@@ -177,41 +180,19 @@ def fixpoint_delta_since(before: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def fixpoint_absorb(delta: Tuple[int, ...]) -> None:
-    """Fold a worker process's counter delta into this process's totals.
-
-    Width-tolerant: deltas recorded before the vectorized engine existed
-    are three wide and absorb into the first three keys.
-    """
+    """Fold a worker process's counter delta into this process's totals."""
     for key, inc in zip(_FIXPOINT_KEYS, delta):
         _fixpoint_counters[key] += inc
 
 
 class FixpointCache:
-    """Reuse between successive RTA fixpoint iterations.
+    """Exact memo of RTA fixpoint solutions (bounded LRU).
 
-    Two mechanisms, both preserving bit-identical results:
-
-    * **Exact memoization**: a fixpoint problem is a pure function of
-      ``(own, blocking, interferers, cap)``; identical problems (the
-      unchanged task prefix of an admission re-screen, a repeated sweep
-      point) return the stored solution without iterating.  Always
-      sound.
-    * **Monotone warm starts**: iterating ``R = f(R)`` for a monotone
-      ``f`` from any value between the classic start ``own + blocking``
-      and the least fixpoint converges to the *same* least fixpoint
-      (from below the sequence climbs to it; from above-but-below-lfp
-      it descends to a fixpoint that minimality forces to be the lfp).
-      Callers may therefore seed an iteration with the converged value
-      of a *dominated* problem — one whose demand is pointwise no
-      larger, e.g. the previous (lower) inflation factor in a
-      sensitivity search.  Values are staged during a run and only
-      become warm-start seeds after :meth:`commit`, so a rejected probe
-      never pollutes the seeds.
-
-    The warm-start contract (seed problem dominated by the new one) is
-    the caller's to uphold; the property tests in
-    ``tests/test_prop_fixpoint.py`` pin both equality with cold starts
-    and the monotonicity arguments above.
+    A fixpoint problem is a pure function of its arguments (e.g.
+    ``(own, blocking, interferers, cap)``); identical problems — the
+    unchanged task prefix of an admission re-screen, a repeated sweep
+    point — return the stored solution without iterating, so results
+    are bit-identical with or without the cache.
     """
 
     def __init__(self, maxsize: int = 8192) -> None:
@@ -219,11 +200,8 @@ class FixpointCache:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._exact: "OrderedDict[Any, Optional[int]]" = OrderedDict()
-        self._warm: Dict[Any, int] = {}
-        self._staged: Dict[Any, int] = {}
         self.exact_hits = 0
         self.misses = 0
-        self.warm_hits = 0
 
     def get_exact(self, key: Any) -> Any:
         """Stored solution for ``key``, or :data:`CACHE_MISS`."""
@@ -244,33 +222,11 @@ class FixpointCache:
         if len(self._exact) > self.maxsize:
             self._exact.popitem(last=False)
 
-    def warm_start(self, key: Any) -> Optional[int]:
-        """Committed warm-start seed for ``key``, if any."""
-        value = self._warm.get(key)
-        if value is not None:
-            self.warm_hits += 1
-            _fixpoint_counters["warm_hits"] += 1
-        return value
-
-    def stage(self, key: Any, value: int) -> None:
-        """Record a converged value, pending :meth:`commit`."""
-        self._staged[key] = value
-
-    def commit(self) -> None:
-        """Promote staged values to warm-start seeds."""
-        self._warm.update(self._staged)
-        self._staged.clear()
-
-    def discard(self) -> None:
-        """Drop staged values (the probe they came from was rejected)."""
-        self._staged.clear()
-
     def counters(self) -> Dict[str, int]:
         """This instance's hit/miss counters."""
         return {
             "exact_hits": self.exact_hits,
             "misses": self.misses,
-            "warm_hits": self.warm_hits,
         }
 
 
@@ -312,28 +268,10 @@ def _response_cap(task: RtaTask, interferers: Sequence[RtaTask]) -> int:
     return 64 * (total + max(periods)) + 64 * task.period
 
 
-def _warm_seed(
-    cache: Optional[FixpointCache], warm_key: Any, start: int
-) -> int:
-    """Iteration start: the committed seed if any, clamped to ``start``.
-
-    The clamp keeps the seed inside the sound interval even when the
-    dominated problem's converged value lies below the new problem's
-    classic start.
-    """
-    if cache is None or warm_key is None:
-        return start
-    seed = cache.warm_start(warm_key)
-    if seed is None:
-        return start
-    return max(start, seed)
-
-
 def fp_preemptive_wcrt(
     tasks: Sequence[RtaTask],
     task: RtaTask,
     cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
 ) -> Optional[int]:
     """WCRT under preemptive fixed-priority scheduling with jitter/blocking.
 
@@ -344,14 +282,7 @@ def fp_preemptive_wcrt(
 
     Args:
         cache: Optional :class:`FixpointCache`.  Identical (task,
-            interferer-set) problems return their memoized bound; with
-            ``warm_key`` also set, each busy-period/per-q fixpoint is
-            seeded from the committed value of the dominated problem the
-            caller staged under the same key.
-        warm_key: Stable identity of this fixpoint *problem site* across
-            a monotone family of calls (e.g. one task's screen slot
-            across inflation factors).  The caller must guarantee the
-            committed problem's demand is pointwise no larger.
+            interferer-set) problems return their memoized bound.
     """
     interferers = _hp(tasks, task)
     if cache is not None:
@@ -370,8 +301,7 @@ def fp_preemptive_wcrt(
     q_max = int(math.ceil((busy + task.jitter) / task.period))
     worst = 0
     for q in range(q_max):
-        start = (q + 1) * task.exec_cycles + task.blocking
-        w = _warm_seed(cache, (warm_key, "fp-p", q) if warm_key is not None else None, start)
+        w = (q + 1) * task.exec_cycles + task.blocking
         while True:
             demand = (
                 (q + 1) * task.exec_cycles
@@ -388,8 +318,6 @@ def fp_preemptive_wcrt(
                     cache.put_exact(exact_key, None)
                 return None
             w = demand
-        if cache is not None and warm_key is not None:
-            cache.stage((warm_key, "fp-p", q), w)
         worst = max(worst, w - q * task.period)
     if cache is not None:
         cache.put_exact(exact_key, worst)
@@ -400,7 +328,6 @@ def fp_nonpreemptive_wcrt(
     tasks: Sequence[RtaTask],
     task: RtaTask,
     cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
 ) -> Optional[int]:
     """WCRT under non-preemptive fixed-priority scheduling.
 
@@ -414,7 +341,7 @@ def fp_nonpreemptive_wcrt(
     for segmented tasks, call this per-segment via the higher-level
     analyses instead).
 
-    ``cache``/``warm_key`` behave as in :func:`fp_preemptive_wcrt`.
+    ``cache`` behaves as in :func:`fp_preemptive_wcrt`.
     """
     interferers = _hp(tasks, task)
     if cache is not None:
@@ -433,8 +360,7 @@ def fp_nonpreemptive_wcrt(
     q_max = int(math.ceil((busy + task.jitter) / task.period))
     worst = 0
     for q in range(q_max):
-        start = task.blocking + q * task.exec_cycles
-        w = _warm_seed(cache, (warm_key, "fp-n", q) if warm_key is not None else None, start)
+        w = task.blocking + q * task.exec_cycles
         while True:
             demand = (
                 task.blocking
@@ -451,8 +377,6 @@ def fp_nonpreemptive_wcrt(
                     cache.put_exact(exact_key, None)
                 return None
             w = demand
-        if cache is not None and warm_key is not None:
-            cache.stage((warm_key, "fp-n", q), w)
         worst = max(worst, w + task.exec_cycles - q * task.period)
     if cache is not None:
         cache.put_exact(exact_key, worst)

@@ -15,10 +15,9 @@ Layout
     ring (deque of release times) per task for the FIFO job backlog.
     Only the head of a ring carries progress — per-task FIFO semantics
     mean followers are fully described by their release time.  Bulk
-    output (per-task response accumulators) and steady-state fold
-    replay live in a preallocated ``int64`` numpy arena
-    (:class:`Arena`) that is reused across runs — zero buffer
-    allocations after warmup.  Segment columns (load/compute cycles,
+    output (per-task response accumulators) lives in a preallocated
+    ``int64`` numpy arena (:class:`Arena`) that is reused across runs —
+    zero buffer allocations after warmup.  Segment columns (load/compute cycles,
     zero-load flags, suffix sums) are cached per segment tuple.
 
 Event engine
@@ -43,9 +42,9 @@ Frontier batching / fast-forward
 
     instead of stepping each DMA/CPU completion through the heap.  The
     chain is only trusted up to an *interference bound*: the earliest
-    pending release (tracked incrementally), the fold boundary, the
-    hard cap, any live deadline event, and — under dominance — the
-    first instant the CPU would idle.  A chain that finishes inside
+    pending release (tracked incrementally), the hard cap, any live
+    deadline event, and — under dominance — the first instant the CPU
+    would idle.  A chain that finishes inside
     the bound retires the whole job in one commit; otherwise the
     prefix strictly before the bound is committed and the transfer or
     burst crossing it is reconstructed in flight (same dispatch order,
@@ -53,15 +52,13 @@ Frontier batching / fast-forward
     event-for-event identical to the stepped path.
 
 Stand-down
-    The core models exactly the fold-eligible feature set of PR 5 plus
-    deadline aborts: no traces, no ``abort_on_miss``, no sporadic
-    arrivals, no fault injection/escalation/recovery, no ``DEGRADE``,
-    single DMA channel.  Anything else raises :class:`StandDown` and
+    The core models deterministic single-channel runs, deadline aborts
+    included: no traces, no ``abort_on_miss``, no sporadic arrivals, no
+    fault injection/escalation/recovery, no ``DEGRADE``, single DMA
+    channel.  Anything else raises :class:`StandDown` and
     the caller falls back to the scalar path (counted in
     ``sim_stand_downs``).  ``REPRO_VEC_SIM=0`` is the global kill
-    switch.  Steady-state folding (``REPRO_SIM_FOLD``) composes: the
-    SoA engine replicates the scalar boundary fingerprint canonically,
-    so fold decisions — and the fold telemetry — are bit-identical.
+    switch.
 
 Telemetry rides the plan-cache counter protocol as the ``"sim.soa"``
 pseudo-entry (:func:`repro.core.segcache.snapshot`): ``sim_soa_runs``
@@ -86,17 +83,7 @@ except ImportError:  # pragma: no cover
 
 from repro.hw.dma import DmaArbitration
 from repro.robust.overload import OverrunPolicy
-from repro.sched import simulator as _sim
-from repro.sched.simulator import (
-    _FOLD_OFF,
-    _FOLD_PROBE_LIMIT,
-    SharedSetup,
-    SimConfig,
-    SimResult,
-    TaskStats,
-    _capped_lcm,
-    fold_enabled,
-)
+from repro.sched.simulator import SimConfig, SimResult, TaskStats
 from repro.sched.task import PeriodicTask, TaskSet
 
 #: Environment kill switch: set to ``0`` to force the scalar simulator.
@@ -186,9 +173,9 @@ class Arena:
     """Reusable SoA buffers: response accumulator + segment columns.
 
     The response accumulator is one flat ``int64`` array sliced into
-    per-task regions per run (capacity = the release-count bound, so
-    fold replay always fits); it grows geometrically and never
-    shrinks, so a warmed-up batch allocates nothing.  Segment columns
+    per-task regions per run (capacity = the release-count bound); it
+    grows geometrically and never shrinks, so a warmed-up batch
+    allocates nothing.  Segment columns
     — load/compute cycle lists, the zero-load flag, the nonzero-load
     suffix count and the compute-cycle suffix sum used by the
     fast-forward guard — are memoized per segment tuple (pinned by
@@ -200,6 +187,10 @@ class Arena:
     def __init__(self) -> None:
         self._resp = _np.empty(1024, dtype=_np.int64) if _np is not None else None
         self._segcols: Dict[int, Tuple] = {}
+
+    def clear_columns(self) -> None:
+        """Drop the memoized segment columns (and the segments they pin)."""
+        self._segcols.clear()
 
     def resp_buffer(self, total: int):
         """A flat int64 buffer with capacity >= ``total``."""
@@ -263,10 +254,9 @@ def default_arena() -> Arena:
 def _check_supported(config: SimConfig) -> None:
     """Raise :class:`StandDown` for features the SoA core does not model.
 
-    Mirrors the fold-eligibility rules (traces, abort_on_miss,
-    sporadic arrivals, faults/escalation — and therefore recovery,
-    which is inert without a fault source — and DEGRADE), plus the
-    multi-channel DMA configuration the flat engine does not model.
+    Traces, abort_on_miss, sporadic arrivals, faults/escalation — and
+    therefore recovery, which is inert without a fault source —
+    DEGRADE, and multi-channel DMA are left to the scalar path.
     """
     if config.record_trace:
         raise StandDown("record_trace")
@@ -287,7 +277,6 @@ def _check_supported(config: SimConfig) -> None:
 def try_simulate(
     taskset: TaskSet,
     config: SimConfig,
-    shared: Optional[SharedSetup] = None,
     arena: Optional[Arena] = None,
 ) -> Optional[SimResult]:
     """Run ``taskset`` on the SoA core, or ``None`` to use the scalar path.
@@ -306,7 +295,7 @@ def try_simulate(
     except StandDown:
         _counters["sim_stand_downs"] += 1
         return None
-    return _run(taskset, config, shared, arena if arena is not None else default_arena())
+    return _run(taskset, config, arena if arena is not None else default_arena())
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +306,6 @@ def try_simulate(
 def _run(
     taskset: TaskSet,
     config: SimConfig,
-    shared: Optional[SharedSetup],
     arena: Arena,
 ) -> SimResult:
     t_pack = _walltime.perf_counter()
@@ -355,12 +343,9 @@ def _run(
     # pass can never dispatch: skip it wholesale.
     has_dma = any(nzsuf[p2][0] > 0 for p2 in range(n))
 
-    max_period = shared.max_period if shared is not None else max(periods)
-    hard_cap = int(horizon * config.hard_cap_factor) + max_period
+    hard_cap = int(horizon * config.hard_cap_factor) + max(periods)
 
-    # Response-accumulator regions: capacity = releases before horizon
-    # (folded replays correspond to suppressed in-horizon releases, so
-    # the bound holds with folding too).
+    # Response-accumulator regions: capacity = releases before horizon.
     off = [0] * (n + 1)
     for p in range(n):
         cap = 0
@@ -375,26 +360,12 @@ def _run(
     abort_policy = config.overrun is OverrunPolicy.ABORT_AT_DEADLINE
     skip_policy = config.overrun is OverrunPolicy.SKIP_NEXT
 
-    # ----- steady-state folding (same eligibility arithmetic as scalar)
-    fold_period = 0
-    fold_boundary = _FOLD_OFF
-    if fold_enabled():
-        h = shared.hyperperiod if shared is not None else _capped_lcm(periods)
-        if h is not None and 2 * h <= horizon:
-            fold_period = h
-            fold_boundary = h
-    fold_states: Dict[Tuple, Tuple[int, Tuple]] = {}
-    fold_probes = 0
-    fold_cycles = 0
-    fold_jobs_skipped = 0
-    folds = 0
-
     # ----- flat run state ---------------------------------------------
     q: List[deque] = [deque() for _ in range(n)]  # release times, head first
     h_ld = [0] * n      # head: loads done (== scalar loads_issued/loads_done)
     h_cd = [0] * n      # head: computes done
     h_rem = [-1] * n    # head: banked remaining burst (-1 = None)
-    h_since = [-1] * n  # head: load_eligible_since (-1 = None)
+    h_since = [-1] * n  # head: load_eligible_since (-1 = None; FIFO only)
     h_rel = [0] * n     # head: release time
     h_dl = [0] * n      # head: absolute deadline
     head_idx = [0] * n  # job index of the head (deadline-event matching)
@@ -424,7 +395,6 @@ def _run(
     heapq.heapify(heap)
 
     active = 0              # tasks with nonempty backlog
-    release_suppressed = False
     truncated = False
     events = 0              # scalar-equivalent events retired
     time_now = 0
@@ -445,148 +415,12 @@ def _run(
     # wins outright unless a later task ties its priority value (then
     # release time, then position — already the iteration order).
     prio_order = sorted(range(n), key=lambda p_: (prios[p_], p_))
-    # ``h_since`` only influences results through FIFO arbitration and
-    # fold fingerprints; when neither can observe it, the DMA scan can
-    # early-exit instead of marking every eligible candidate.
-    since_free = not fifo and fold_period == 0
-
-    # ----- fold machinery (closures; off the hot path) ----------------
-
-    def _stats_mark() -> Tuple:
-        return (
-            tuple(resp_n),
-            tuple(misses),
-            tuple(aborts),
-            tuple(skips),
-            cpu_busy,
-            dma_busy,
-        )
-
-    def _fingerprint(boundary: int) -> Tuple:
-        # Canonically equivalent to Simulator._fingerprint: same state
-        # components, same discrimination power, so fold decisions (and
-        # telemetry) match the scalar run bit for bit.
-        queues = []
-        for p in range(n):
-            qp = q[p]
-            if not qp:
-                queues.append(())
-                continue
-            dlp = dls[p]
-            entries = [
-                (
-                    h_ld[p],
-                    h_ld[p],
-                    h_cd[p],
-                    h_rem[p] if h_rem[p] >= 0 else None,
-                    h_rel[p] - boundary,
-                    h_dl[p] - boundary,
-                    h_since[p] - boundary if h_since[p] >= 0 else None,
-                )
-            ]
-            first = True
-            for rel in qp:
-                if first:
-                    first = False
-                    continue
-                entries.append(
-                    (0, 0, 0, None, rel - boundary, rel + dlp - boundary, None)
-                )
-            queues.append(tuple(entries))
-        cpu = None if cpu_task < 0 else (cpu_task, cpu_start - boundary)
-        dma = () if ch_task < 0 else ((0, -1 if ch_aborted else ch_task),)
-        entries2 = []
-        for t, s, k, p3, aux in sorted(heap):
-            if k == 0:  # _RELEASE
-                canon: Tuple = (p3,)
-            elif k == 1:  # _DMA_DONE
-                canon = (0, -1 if ch_aborted else ch_task)
-            elif k == 2:  # _CPU_DONE
-                if aux == cpu_token and cpu_task == p3:
-                    canon = (1, p3)
-                else:
-                    canon = (0,)  # stale: pops as a no-op
-            else:  # _DEADLINE
-                if q[p3] and aux >= head_idx[p3]:
-                    canon = (p3, aux - head_idx[p3])
-                else:
-                    canon = (-1,)  # dead: pops as a no-op
-            entries2.append((t - boundary, k, canon))
-        return (tuple(queues), cpu, dma, tuple(entries2), tuple(skip))
-
-    def _fold(previous: Tuple[int, Tuple], boundary: int) -> int:
-        nonlocal cpu_busy, dma_busy, cpu_start, ch_end
-        nonlocal folds, fold_cycles, fold_jobs_skipped
-        start, mark = previous
-        period = boundary - start
-        limit = min(horizon, hard_cap)
-        nf = (limit - max_period - boundary) // period
-        if nf <= 0:
-            return boundary + fold_period
-        resp0, miss0, abort0, skip0, cpu0, dma0 = mark
-        jobs_per_cycle = 0
-        for p in range(n):
-            cnt = resp_n[p] - resp0[p]
-            if cnt:
-                base = off[p]
-                c1 = resp_n[p]
-                assert base + c1 + nf * cnt <= off[p + 1], "fold overflow"
-                seg = resp[base + resp0[p] : base + c1]
-                resp[base + c1 : base + c1 + nf * cnt] = _np.tile(seg, nf)
-                resp_n[p] = c1 + nf * cnt
-            da = aborts[p] - abort0[p]
-            sk = skips[p] - skip0[p]
-            misses[p] += nf * (misses[p] - miss0[p])
-            aborts[p] += nf * da
-            skips[p] += nf * sk
-            jobs_per_cycle += cnt + da + sk
-        cpu_busy += nf * (cpu_busy - cpu0)
-        dma_busy += nf * (dma_busy - dma0)
-        shift = nf * period
-        for p in range(n):
-            if q[p]:
-                q[p] = deque(x + shift for x in q[p])
-                h_rel[p] += shift
-                h_dl[p] += shift
-                if h_since[p] >= 0:
-                    h_since[p] += shift
-        if cpu_task >= 0:
-            cpu_start += shift
-        if ch_task >= 0:
-            ch_end += shift
-        for p3 in range(n):
-            if next_rel[p3] != _FF_INF:
-                next_rel[p3] += shift
-            ff_idx[p3] = -1  # job indices rebased: drop the memo
-        # Uniform shift preserves heap order (seq breaks remaining ties).
-        heap[:] = [(t + shift, s, k, p3, a) for t, s, k, p3, a in heap]
-        folds += 1
-        fold_cycles += nf
-        fold_jobs_skipped += nf * jobs_per_cycle
-        return _FOLD_OFF
-
-    def _at_boundary(boundary: int) -> int:
-        nonlocal fold_probes
-        if release_suppressed:
-            return _FOLD_OFF
-        fold_probes += 1
-        if fold_probes > _FOLD_PROBE_LIMIT:
-            return _FOLD_OFF
-        fp = _fingerprint(boundary)
-        prev = fold_states.get(fp)
-        if prev is None:
-            fold_states[fp] = (boundary, _stats_mark())
-            return boundary + fold_period
-        return _fold(prev, boundary)
 
     # ----- main loop ---------------------------------------------------
     _PROFILE["pack_s"] += _walltime.perf_counter() - t_pack
     t_adv = _walltime.perf_counter()
 
     while heap:
-        if heap[0][0] >= fold_boundary:
-            fold_boundary = _at_boundary(fold_boundary)
-            continue
         ev = pop(heap)
         time_now = ev[0]
         if time_now > hard_cap:
@@ -664,7 +498,6 @@ def _run(
                     seq += 1
                     next_rel[p] = nt
                 else:
-                    release_suppressed = True
                     next_rel[p] = _FF_INF
             else:  # _DEADLINE (aux = job index)
                 qp = q[p]
@@ -756,8 +589,6 @@ def _run(
                         ld = h_ld[p]
                         if ld >= nseg[p] or ld - h_cd[p] >= bufs[p]:
                             continue
-                        if h_since[p] < 0:
-                            h_since[p] = time_now
                         d = h_dl[p]
                         pr = prios[p]
                         r = h_rel[p]
@@ -770,8 +601,8 @@ def _run(
                             b0 = d
                             b1 = pr
                             b2 = r
-                elif since_free:
-                    # Priority arbitration with ``h_since`` unobservable:
+                else:
+                    # Priority arbitration (``h_since`` unobservable):
                     # scan in static priority order and stop at the first
                     # resolved priority group.
                     b0 = b1 = 0
@@ -790,22 +621,6 @@ def _run(
                         elif h_rel[p] < b1:
                             best = p
                             b1 = h_rel[p]
-                else:
-                    b0 = b1 = 0
-                    for p in range(n):
-                        if not q[p]:
-                            continue
-                        ld = h_ld[p]
-                        if ld >= nseg[p] or ld - h_cd[p] >= bufs[p]:
-                            continue
-                        if h_since[p] < 0:
-                            h_since[p] = time_now
-                        pr = prios[p]
-                        r = h_rel[p]
-                        if best < 0 or pr < b0 or (pr == b0 and r < b1):
-                            best = p
-                            b0 = pr
-                            b1 = r
                 if best >= 0:
                     cyc = loads[best][h_ld[best]]
                     ch_task = best
@@ -920,16 +735,14 @@ def _run(
             if ff_idx[p] == head_idx[p] and time_now < ff_until[p]:
                 break  # this head already failed; bound not reached
             # Exclusive interference bound: the earliest pending release
-            # (tracked incrementally, so no heap scan), the fold
-            # boundary, the hard cap and — under ABORT — the earliest
-            # live deadline event.  Chain events strictly before the
-            # bound cannot interleave with foreign state changes.
+            # (tracked incrementally, so no heap scan), the hard cap
+            # and — under ABORT — the earliest live deadline event.
+            # Chain events strictly before the bound cannot interleave
+            # with foreign state changes.
             upto = next_rel[0]
             for q2 in range(1, n):
                 if next_rel[q2] < upto:
                     upto = next_rel[q2]
-            if fold_boundary < upto:
-                upto = fold_boundary
             hc1 = hard_cap + 1
             if hc1 < upto:
                 upto = hc1
@@ -1104,10 +917,10 @@ def _run(
             # ----- partial commit: fuse the prefix before the bound ---
             # Advance the head to its state just before ``upto`` and
             # leave the crossing transfer/burst in flight.  A mid-job
-            # reconstruction cannot replay ``h_since`` marks, so it
-            # needs them unobservable (no FIFO arbitration, folding
-            # disarmed); otherwise fall back to the plain memo.
-            if not since_free:
+            # reconstruction cannot replay ``h_since`` marks, so under
+            # FIFO arbitration (which reads them) fall back to the plain
+            # memo.
+            if fifo:
                 ff_idx[p] = head_idx[p]
                 ff_until[p] = upto
                 break
@@ -1236,12 +1049,6 @@ def _run(
         st.skips = skips[p]
         stats[t.name] = st
 
-    counters = _sim._fold_counters
-    counters["runs"] += 1
-    if folds:
-        counters["folds"] += folds
-        counters["cycles_skipped"] += fold_cycles
-        counters["jobs_skipped"] += fold_jobs_skipped
     _counters["sim_soa_runs"] += 1
     _counters["sim_soa_events"] += events
 
@@ -1254,8 +1061,6 @@ def _run(
         aborted_on_miss=False,
         truncated=truncated,
         dma_retries=0,
-        fold_cycles=fold_cycles,
-        fold_jobs_skipped=fold_jobs_skipped,
     )
     _PROFILE["unpack_s"] += _walltime.perf_counter() - t_unpack
     return result

@@ -65,7 +65,7 @@ def test_registry_complete():
     assert set(EXPERIMENTS) == {
         "EXP-T1", "EXP-T2", "EXP-F3", "EXP-F4", "EXP-F5", "EXP-F6",
         "EXP-F7", "EXP-F8", "EXP-T3", "EXP-F9", "EXP-F10", "EXP-F11",
-        "EXP-F12", "EXP-F13", "EXP-F14", "EXP-F15", "EXP-F16", "EXP-F17",
+        "EXP-F12", "EXP-F13", "EXP-F14", "EXP-F15", "EXP-F17",
         "EXP-F18", "EXP-R1", "EXP-R2",
         "EXP-R3", "EXP-D1", "EXP-S1", "EXP-S2", "EXP-S3",
     }

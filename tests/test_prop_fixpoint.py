@@ -1,21 +1,8 @@
-"""Property tests for incremental RTA fixpoints and fold eligibility.
+"""Property test for the exact RTA fixpoint memo.
 
-Two contracts introduced by the performance work:
-
-* **Warm-start soundness** — seeding a response-time fixpoint iteration
-  from a committed value of a *dominated* problem (same site, pointwise
-  smaller demand) converges to exactly the least fixpoint a cold start
-  finds.  The sandwich argument (cold start <= warm seed <= lfp forces
-  equal limits under a monotone recurrence) is exercised here over
-  random task sets and ascending inflation ladders, for the low-level
-  ``fp_*_wcrt`` bounds and the full ``analyze`` pipeline alike.
-
-* **Fold stand-down** — steady-state folding may only engage for fully
-  deterministic, state-free configurations.  Every nondeterministic or
-  stateful :class:`SimConfig` hook (traces, abort-on-miss, sporadic
-  releases, fault injection, escalation, recovery, DEGRADE overload
-  state) must force ``_fold_eligible`` off, and such runs must report
-  zero folding telemetry.
+A fixpoint problem is a pure function of its arguments, so a
+:class:`~repro.sched.rta.FixpointCache` hit must return exactly what a
+cache-free evaluation computes.
 """
 
 from __future__ import annotations
@@ -27,75 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import random_taskset
 from repro.core.analysis import METHODS, analyze
-from repro.robust.escalation import EscalationConfig
-from repro.robust.faults import FaultConfig
-from repro.robust.overload import DegradeConfig, OverrunPolicy
-from repro.robust.recovery import RecoveryConfig
-from repro.sched.rta import (
-    FixpointCache,
-    RtaTask,
-    fp_nonpreemptive_wcrt,
-    fp_preemptive_wcrt,
-)
-from repro.sched.simulator import SimConfig, Simulator, simulate
-from repro.sched.task import inflate_compute
+from repro.sched.rta import FixpointCache
 
 seeds = st.integers(0, 10_000)
-
-#: Ascending, so each rung's demand dominates the committed one — the
-#: precondition warm starts require.
-LADDER = (1.0, 1.08, 1.3, 1.75)
-
-
-@given(seeds, st.sampled_from(METHODS))
-@settings(max_examples=40, deadline=None)
-def test_warm_analyze_matches_cold(seed, method):
-    rng = random.Random(seed)
-    ts = random_taskset(rng, n_tasks=rng.randint(2, 4), util_target=0.55)
-    cache = FixpointCache()
-    for factor in LADDER:
-        inflated = inflate_compute(ts, factor)
-        cold = analyze(inflated, method)
-        warm = analyze(inflated, method, cache=cache, warm=True)
-        cache.commit()
-        assert warm.wcrt == cold.wcrt
-        assert warm.schedulable == cold.schedulable
-
-
-def _rta_tasks(rng: random.Random, factor: float = 1.0):
-    n = rng.randint(2, 4)
-    tasks = []
-    for i in range(n):
-        period = rng.randint(200, 4000)
-        compute = max(1, int(period * rng.uniform(0.08, 0.28)))
-        tasks.append(
-            RtaTask(
-                name=f"t{i}",
-                exec_cycles=int(compute * factor),
-                period=period,
-                deadline=rng.randint(max(2, period // 2), period),
-                priority=i,
-                jitter=rng.choice([0, rng.randint(0, period // 4)]),
-                blocking=rng.choice([0, rng.randint(0, compute)]),
-            )
-        )
-    return tasks
-
-
-@given(seeds, st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_warm_fp_wcrt_matches_cold(seed, preemptive):
-    wcrt = fp_preemptive_wcrt if preemptive else fp_nonpreemptive_wcrt
-    cache = FixpointCache()
-    for factor in LADDER:
-        # Fresh rng per rung: identical draws except the inflated
-        # exec_cycles, so each warm site sees a dominating re-ask.
-        tasks = _rta_tasks(random.Random(seed), factor)
-        for i, task in enumerate(tasks):
-            cold = wcrt(tasks, task)
-            warm = wcrt(tasks, task, cache=cache, warm_key=("slot", i))
-            assert warm == cold
-        cache.commit()
 
 
 @given(seeds, st.sampled_from(METHODS))
@@ -112,42 +33,3 @@ def test_exact_memo_matches_fresh(seed, method):
     assert first.wcrt == fresh.wcrt
     assert again.wcrt == fresh.wcrt
     assert cache.counters()["exact_hits"] > 0
-
-
-def _nondeterministic_hooks():
-    """One SimConfig override per hook that must disable folding."""
-    return [
-        dict(record_trace=True),
-        dict(abort_on_miss=True),
-        dict(sporadic_slack=0.25),
-        dict(faults=FaultConfig(dma_fault_prob=0.1)),
-        dict(escalation=EscalationConfig(crc_fault_prob=0.1)),
-        dict(
-            faults=FaultConfig(dma_fault_prob=0.1),
-            recovery=RecoveryConfig(),
-        ),
-        dict(overrun=OverrunPolicy.DEGRADE, degrade=None),  # filled per-set
-    ]
-
-
-HOOK_INDEX = st.integers(0, len(_nondeterministic_hooks()) - 1)
-
-
-@given(seeds, HOOK_INDEX)
-@settings(max_examples=60, deadline=None)
-def test_fold_disabled_under_nondeterministic_hooks(seed, hook_index):
-    rng = random.Random(seed)
-    ts = random_taskset(rng, n_tasks=rng.randint(2, 3), util_target=0.5)
-    overrides = _nondeterministic_hooks()[hook_index]
-    if "degrade" in overrides:
-        overrides["degrade"] = DegradeConfig(
-            fallbacks={t.name: t.segments[:1] for t in ts}
-        )
-    horizon = 8 * max(t.period for t in ts)
-    config = SimConfig(horizon=horizon, **overrides)
-    assert not Simulator(ts, config)._fold_eligible
-    result = simulate(ts, config)
-    assert result.fold_cycles == 0
-    assert result.fold_jobs_skipped == 0
-    # Vacuity guard: the same run minus the hook IS fold-eligible.
-    assert Simulator(ts, SimConfig(horizon=horizon))._fold_eligible

@@ -309,3 +309,37 @@ def test_configure_resizes_and_disables(model, platform):
     assert len(segcache.CACHES["search"]) <= 2
     segcache.configure(enabled=False)
     assert not segcache.is_enabled()
+
+
+def test_clear_all_empties_identity_memos():
+    """clear_all() must release every planned object, not just the LRU
+    caches: the fingerprint memos, the XIP column memo and the default
+    SoA arena's segment columns pin models and segment tuples by
+    strong reference, so a long-lived process (a fleet service run
+    repeatedly) would otherwise grow without bound."""
+    from repro.eval import systems
+    from repro.eval.fleet import FleetConfig, FleetService, fleet_trace
+    from repro.sched import simcore
+    from repro.sched.simulator import SimConfig, simulate
+    from repro.workload.taskset import generate_case
+
+    FleetService(config=FleetConfig(n_shards=2)).run(
+        fleet_trace(200, 2.0, 0.35, seed=7)
+    )
+    case = generate_case(get_platform("f746-qspi"), 0.5, random.Random(3))
+    assert case.feasible
+    systems.admit_batch([case])  # fills the XIP column memo
+    ts = random_taskset(random.Random(3), n_tasks=3)
+    simulate(ts, SimConfig(horizon=4 * max(t.period for t in ts)))
+    memos = {
+        "model": segcache._model_fingerprint._data,
+        "quant": segcache._quant_fingerprint._data,
+        "platform": segcache._platform_fingerprint._data,
+        "xip": systems._XIP_COLS,
+        "arena": simcore.default_arena()._segcols,
+    }
+    assert all(len(memo) > 0 for memo in memos.values()), {
+        name: len(memo) for name, memo in memos.items()
+    }
+    segcache.clear_all()
+    assert {name: len(memo) for name, memo in memos.items()} == dict.fromkeys(memos, 0)

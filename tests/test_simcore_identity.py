@@ -5,8 +5,10 @@ arrays — fused scheduling passes, heap-tuple events, lone/dominant-task
 fast-forward — and is not allowed to change a single field of any
 :class:`~repro.sched.simulator.SimResult`.  This module pins that down
 as a matrix: SoA vs scalar (``REPRO_VEC_SIM``) x every CPU policy x
-both DMA arbitrations x fold on/off, over random segmented sets and the
-scenario zoo's planned deployments, plus the overrun-policy family.
+both DMA arbitrations, over random segmented sets and the scenario
+zoo's planned deployments, plus the overrun-policy family.  Batched
+execution (:func:`~repro.eval.parallel.simulate_batch`) must match
+per-run ``simulate`` calls on both engines.
 
 Unsupported configurations must *stand down*: the dispatcher falls back
 to the scalar path (results trivially identical) while the telemetry
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from conftest import random_taskset
 from repro.core.framework import RtMdm
+from repro.eval.parallel import simulate_batch
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import get_platform
 from repro.robust.overload import DegradeConfig, OverrunPolicy
@@ -96,13 +99,8 @@ def test_soa_identical_random_sets(policy, arb, monkeypatch):
         assert soa == scalar
 
 
-@pytest.mark.parametrize("fold", ["1", "0"])
 @pytest.mark.parametrize("key", ZOO)
-def test_soa_identical_scenario_zoo(key, fold, monkeypatch):
-    """Planned deployments, with and without steady-state folding
-    composed on top — fold telemetry included in the comparison (the
-    SoA core must fold exactly where the scalar loop folds)."""
-    monkeypatch.setenv("REPRO_SIM_FOLD", fold)
+def test_soa_identical_scenario_zoo(key, monkeypatch):
     taskset = _zoo_taskset(key)
     for policy, arb in MATRIX:
         soa, scalar = _both(taskset, _config(taskset, policy, arb), monkeypatch)
@@ -118,6 +116,25 @@ def test_soa_identical_overrun_policies(overrun, monkeypatch):
         )
         soa, scalar = _both(taskset, config, monkeypatch)
         assert soa == scalar
+
+
+@pytest.mark.parametrize("vec", ["1", "0"])
+def test_batch_identical_to_scalar(vec, monkeypatch):
+    """simulate_batch == [simulate(...)] on either engine, across the
+    full policy/arbitration matrix: the batch-wide arena must not
+    change a single result field."""
+    monkeypatch.setenv("REPRO_VEC_SIM", vec)
+    tasksets = [_random_set(s) for s in (4, 5)] + [_zoo_taskset(ZOO[0])]
+    cases = [
+        (ts, _config(ts, policy, arb))
+        for ts in tasksets
+        for policy, arb in MATRIX
+    ]
+    batched = simulate_batch(cases)
+    scalar = [simulate(ts, cfg) for ts, cfg in cases]
+    assert [dataclasses.asdict(b) for b in batched] == [
+        dataclasses.asdict(s) for s in scalar
+    ]
 
 
 def test_soa_engine_engages(monkeypatch):
